@@ -103,10 +103,12 @@ RoleRun RunRgpd(const workload::OpMix& mix) {
         }
         break;
       }
-      case workload::GdprOp::kAuditSubject:
-        ok = !os.processing_log().ForSubject(subject).empty() ||
-             os.processing_log().VerifyChain();
+      case workload::GdprOp::kAuditSubject: {
+        const auto history = os.processing_log().ForSubject(subject);
+        ok = history.ok() &&
+             (!history->empty() || os.processing_log().VerifyChain());
         break;
+      }
       case workload::GdprOp::kAuditPurpose: {
         auto ids = os.dbfs().RecordsOfType(sentinel::Domain::kDed, "user");
         ok = ids.ok();

@@ -219,10 +219,12 @@ RoleResult RunRole(core::RgpdOs& os, std::size_t shards,
         }
         break;
       }
-      case workload::GdprOp::kAuditSubject:
-        ok = !os.processing_log().ForSubject(subject).empty() ||
-             os.processing_log().VerifyChain();
+      case workload::GdprOp::kAuditSubject: {
+        const auto history = os.processing_log().ForSubject(subject);
+        ok = history.ok() &&
+             (!history->empty() || os.processing_log().VerifyChain());
         break;
+      }
       case workload::GdprOp::kAuditPurpose: {
         auto ids = os.dbfs().RecordsOfType(sentinel::Domain::kDed, "user");
         ok = ids.ok();

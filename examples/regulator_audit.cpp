@@ -113,7 +113,9 @@ int main() {
   const core::ProcessingLog& log = os.processing_log();
   std::printf("log entries: %zu, hash chain intact: %s\n",
               log.entries().size(), log.VerifyChain() ? "yes" : "NO");
-  const auto subject3 = log.ForSubject(3);
+  const auto history = log.ForSubject(3);
+  if (!history.ok()) return Fail(history.status());
+  const std::vector<core::LogEntry>& subject3 = *history;
   std::printf("history of subject 3's PD (%zu events):\n", subject3.size());
   for (const core::LogEntry& e : subject3) {
     std::printf("  [%llu] %s purpose=%s record=%llu outcome=%s %s\n",

@@ -212,14 +212,21 @@ Result<Bytes> SegmentedLog::RawStream() const {
 
 Status SegmentedLog::ScanRaw(
     const std::function<Status(ByteSpan raw)>& fn) const {
-  for (const SealedSegment& seg : sealed_) {
-    RGPD_ASSIGN_OR_RETURN(Bytes stored, store_->ReadAll(seg.inode));
-    SegmentInfo info;
-    Bytes payload;
-    RGPD_RETURN_IF_ERROR(DecodeSealedSegment(stored, &info, &payload));
+  for (std::size_t i = 0; i < sealed_.size(); ++i) {
+    RGPD_ASSIGN_OR_RETURN(Bytes payload, ReadChunk(i));
     RGPD_RETURN_IF_ERROR(fn(payload));
   }
   return fn(active_buf_);
+}
+
+Result<Bytes> SegmentedLog::ReadChunk(std::size_t index) const {
+  if (index > sealed_.size()) return OutOfRange("segmented log: no such chunk");
+  if (index == sealed_.size()) return store_->ReadAll(active_inode_);
+  RGPD_ASSIGN_OR_RETURN(Bytes stored, store_->ReadAll(sealed_[index].inode));
+  SegmentInfo info;
+  Bytes payload;
+  RGPD_RETURN_IF_ERROR(DecodeSealedSegment(stored, &info, &payload));
+  return payload;
 }
 
 }  // namespace rgpdos::auditlog

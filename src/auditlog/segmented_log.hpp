@@ -102,6 +102,11 @@ class SegmentedLog {
   /// tail. Returning an error stops the scan.
   Status ScanRaw(const std::function<Status(ByteSpan raw)>& fn) const;
 
+  /// One chunk of the stream: sealed segment `index`'s payload (read,
+  /// CRC-verified and decompressed), or, when `index` == sealed().size(),
+  /// the active tail as the store holds it.
+  [[nodiscard]] Result<Bytes> ReadChunk(std::size_t index) const;
+
   [[nodiscard]] const std::vector<SealedSegment>& sealed() const {
     return sealed_;
   }

@@ -5,24 +5,53 @@
 namespace rgpdos {
 
 namespace {
-constexpr std::array<std::uint32_t, 256> MakeTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8: kTables[0] is the classic bytewise table; kTables[k][i] is
+// the CRC of byte i followed by k zero bytes, so eight table lookups fold
+// eight input bytes per step. Same polynomial and reflection as the
+// bytewise loop, so every stored CRC is unchanged.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = t[0][prev & 0xFF] ^ (prev >> 8);
+    }
+  }
+  return t;
 }
-constexpr auto kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+constexpr std::uint32_t LoadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 }  // namespace
 
 void Crc32Accumulator::Update(ByteSpan data) {
   std::uint32_t c = state_;
-  for (std::uint8_t b : data) {
-    c = kTable[(c ^ b) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = LoadLe32(p) ^ c;
+    const std::uint32_t hi = LoadLe32(p + 4);
+    c = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+        kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+        kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   state_ = c;
 }

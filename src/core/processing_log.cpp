@@ -21,6 +21,21 @@ struct ThreadBatch {
   std::vector<LogEntry> staged;
 };
 thread_local ThreadBatch t_batch;
+
+constexpr std::uint64_t kK = ProcessingLog::kCheckpointInterval;
+
+// Advance `reader` past one EncodeEntry image without materialising it.
+Status SkipEntry(ByteReader& reader) {
+  RGPD_RETURN_IF_ERROR(reader.Skip(16));  // seq, at
+  for (int field = 0; field < 2; ++field) {  // processing, purpose
+    RGPD_ASSIGN_OR_RETURN(std::uint64_t len, reader.GetVarint());
+    RGPD_RETURN_IF_ERROR(reader.Skip(len));
+  }
+  RGPD_RETURN_IF_ERROR(reader.Skip(17));  // subject, record, outcome
+  RGPD_ASSIGN_OR_RETURN(std::uint64_t len, reader.GetVarint());  // detail
+  RGPD_RETURN_IF_ERROR(reader.Skip(len));
+  return reader.Skip(crypto::kSha256DigestSize);
+}
 }  // namespace
 
 std::string_view LogOutcomeName(LogOutcome outcome) {
@@ -163,6 +178,9 @@ Status ProcessingLog::LoadFromStore(
     segments_ = std::move(segments);
     store_ = nullptr;
     inode_ = inodefs::kInvalidInode;
+    by_subject_.clear();
+    checkpoints_.clear();
+    for (const LogEntry& e : loaded) IndexEntryLocked(e);
     entries_.assign(std::make_move_iterator(loaded.begin()),
                     std::make_move_iterator(loaded.end()));
     total_ = next_seq;
@@ -179,6 +197,9 @@ Status ProcessingLog::LoadFromStore(
   RGPD_RETURN_IF_ERROR(DecodeVerifiedStream(raw, &next_seq, &prev, &loaded));
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
   segments_.reset();
+  by_subject_.clear();
+  checkpoints_.clear();
+  for (const LogEntry& e : loaded) IndexEntryLocked(e);
   entries_.assign(std::make_move_iterator(loaded.begin()),
                   std::make_move_iterator(loaded.end()));
   total_ = next_seq;
@@ -196,7 +217,15 @@ void ProcessingLog::CommitEntryLocked(LogEntry entry, Bytes& encoded) {
   tail_ = entry.chain;
   const Bytes bytes = EncodeEntry(entry);
   encoded.insert(encoded.end(), bytes.begin(), bytes.end());
+  IndexEntryLocked(entry);
   entries_.push_back(std::move(entry));
+}
+
+void ProcessingLog::IndexEntryLocked(const LogEntry& entry) {
+  SubjectSeqs& seqs = by_subject_[entry.subject_id];
+  seqs.deltas.PutVarint(entry.seq - seqs.last);
+  seqs.last = entry.seq;
+  if ((entry.seq + 1) % kK == 0) checkpoints_.push_back(entry.chain);
 }
 
 void ProcessingLog::DurableAppendLocked(const Bytes& encoded,
@@ -295,31 +324,127 @@ std::vector<LogEntry> ProcessingLog::ForRecord(dbfs::RecordId record) const {
   return out;
 }
 
-std::vector<LogEntry> ProcessingLog::ForSubject(
+Result<std::vector<LogEntry>> ProcessingLog::ForSubject(
     dbfs::SubjectId subject) const {
   std::lock_guard<metrics::OrderedMutex> lock(mu_);
   std::vector<LogEntry> out;
-  if (segments_ != nullptr && total_ > entries_.size()) {
-    std::uint64_t next_seq = 0;
-    crypto::Sha256Digest prev{};
-    std::vector<LogEntry> all;
-    const Status scanned = segments_->ScanRaw([&](ByteSpan raw) {
-      return DecodeVerifiedStream(raw, &next_seq, &prev, &all);
-    });
-    if (scanned.ok()) {
-      for (LogEntry& e : all) {
-        if (e.subject_id == subject) out.push_back(std::move(e));
-      }
-      return out;
+  const auto it = by_subject_.find(subject);
+  if (it == by_subject_.end()) return out;
+  std::vector<std::uint64_t> seqs;
+  {
+    ByteReader reader(it->second.deltas.buffer());
+    std::uint64_t seq = 0;
+    while (!reader.exhausted()) {
+      RGPD_ASSIGN_OR_RETURN(std::uint64_t delta, reader.GetVarint());
+      seq += delta;
+      seqs.push_back(seq);
     }
-    RGPD_LOG(kError, "processing_log")
-        << "durable scan failed, serving hot window only: "
-        << scanned.ToString();
   }
-  for (const LogEntry& e : entries_) {
-    if (e.subject_id == subject) out.push_back(e);
+  const std::uint64_t hot_first = total_ - entries_.size();
+  const auto hot = std::lower_bound(seqs.begin(), seqs.end(), hot_first);
+  if (segments_ != nullptr && hot != seqs.begin()) {
+    const Status served = ReadDurableLocked(
+        std::span<const std::uint64_t>(seqs.data(), hot - seqs.begin()), out);
+    if (!served.ok()) {
+      RGPD_METRIC_COUNT("core.processing_log.verify_failures");
+      RGPD_LOG(kError, "processing_log")
+          << "subject " << subject
+          << ": durable history failed verification: " << served.ToString();
+      return served;
+    }
+  }
+  // Without a segmented store only the window is reachable; a legacy
+  // flat log keeps its whole history there unless a caller bounded it.
+  for (auto s = hot; s != seqs.end(); ++s) {
+    out.push_back(entries_[*s - hot_first]);
   }
   return out;
+}
+
+Status ProcessingLog::ReadDurableLocked(std::span<const std::uint64_t> seqs,
+                                        std::vector<LogEntry>& out) const {
+  const std::vector<auditlog::SealedSegment>& sealed = segments_->sealed();
+  // Chunk `chunk` holds entries [first, end): sealed segments are
+  // contiguous from seq 0 (mount checks it), the active tail follows.
+  std::size_t chunk = 0;
+  std::uint64_t first = 0;
+  std::size_t i = 0;
+  while (i < seqs.size()) {
+    while (chunk < sealed.size() &&
+           seqs[i] >= sealed[chunk].first_seq + sealed[chunk].entry_count) {
+      first = sealed[chunk].first_seq + sealed[chunk].entry_count;
+      ++chunk;
+    }
+    const bool active = chunk == sealed.size();
+    const std::uint64_t end =
+        active ? total_ : first + sealed[chunk].entry_count;
+    const crypto::Sha256Digest before =
+        chunk > 0 ? sealed[chunk - 1].chain_tail : crypto::Sha256Digest{};
+    const crypto::Sha256Digest& last =
+        active ? tail_ : sealed[chunk].chain_tail;
+    std::size_t j = i;
+    while (j < seqs.size() && seqs[j] < end) ++j;
+    RGPD_ASSIGN_OR_RETURN(Bytes raw, segments_->ReadChunk(chunk));
+    RGPD_RETURN_IF_ERROR(ServeFromChunkLocked(raw, first, end, before, last,
+                                              seqs.subspan(i, j - i), out));
+    i = j;
+  }
+  return Status::Ok();
+}
+
+Status ProcessingLog::ServeFromChunkLocked(
+    ByteSpan raw, std::uint64_t first, std::uint64_t end,
+    const crypto::Sha256Digest& before, const crypto::Sha256Digest& last,
+    std::span<const std::uint64_t> seqs, std::vector<LogEntry>& out) const {
+  constexpr std::size_t kDigest = crypto::kSha256DigestSize;
+  ByteReader reader(raw);
+  std::uint64_t seq = first;
+  std::size_t w = 0;
+  while (w < seqs.size()) {
+    // Re-hash the run of entries that shares seqs[w]'s anchors: from the
+    // trusted digest before it to the next trusted digest after it.
+    const std::uint64_t block = seqs[w] / kK * kK;
+    const std::uint64_t start = std::max(first, block);
+    const std::uint64_t anchor = std::min(end - 1, block + kK - 1);
+    for (; seq < start; ++seq) RGPD_RETURN_IF_ERROR(SkipEntry(reader));
+    crypto::Sha256Digest chain =
+        start == first ? before : checkpoints_[start / kK - 1];
+    for (; seq <= anchor; ++seq) {
+      const std::size_t at = reader.position();
+      RGPD_RETURN_IF_ERROR(SkipEntry(reader));
+      const ByteSpan image = raw.subspan(at, reader.position() - at);
+      // HashEntry's input is the entry image with `prev` in place of its
+      // stored chain digest.
+      crypto::Sha256 hash;
+      hash.Update(image.first(image.size() - kDigest));
+      hash.Update(ByteSpan(chain.data(), chain.size()));
+      chain = hash.Finish();
+      if (!std::equal(chain.begin(), chain.end(),
+                      image.end() - kDigest)) {
+        return Corruption("processing log: hash chain broken at seq " +
+                          std::to_string(seq));
+      }
+      if (w < seqs.size() && seqs[w] == seq) {
+        ByteReader entry_reader(image);
+        RGPD_ASSIGN_OR_RETURN(LogEntry entry, DecodeEntry(entry_reader));
+        if (entry.seq != seq) {
+          return Corruption("processing log: entry at seq " +
+                            std::to_string(seq) + " claims seq " +
+                            std::to_string(entry.seq));
+        }
+        out.push_back(std::move(entry));
+        ++w;
+      }
+    }
+    const crypto::Sha256Digest& trusted =
+        anchor == end - 1 ? last : checkpoints_[(anchor + 1) / kK - 1];
+    if (!crypto::DigestEqual(chain, trusted)) {
+      return Corruption("processing log: entries up to seq " +
+                        std::to_string(anchor) +
+                        " do not match the in-memory chain digest");
+    }
+  }
+  return Status::Ok();
 }
 
 Status ProcessingLog::ForEach(

@@ -15,10 +15,25 @@
 //     auditlog::SegmentedLog — compressed, CRC'd, chain-bound sealed
 //     segments behind a manifest. In-memory the log keeps only a bounded
 //     HOT WINDOW (SetHotWindow) of recent entries; older history lives
-//     in the sealed segments and is consulted on demand (ForRecord /
-//     ForSubject / ForEach fall back to a durable scan when the window
-//     has trimmed). LoadFromStore auto-detects which format an inode
-//     holds, so remounts of old images keep working.
+//     in the sealed segments and is consulted on demand. ForRecord and
+//     ForEach fall back to a durable scan when the window has trimmed;
+//     ForSubject reads only the subject's own entries (see below).
+//     LoadFromStore auto-detects which format an inode holds, so
+//     remounts of old images keep working.
+//
+// Per-subject index (right of access, Art. 15): the log keeps, for every
+// subject, the sequence numbers of its entries (varint deltas, about
+// 1-3 B per entry) and, for every kCheckpointInterval-th entry, its chain
+// digest (32 B per 64 entries). ForSubject serves hot-window entries from
+// memory and older ones by decompressing only the chunks (sealed segment
+// or active tail) that hold them, once per call, skip-parsing past the
+// other entries. Each entry served from durable bytes is authenticated:
+// the run of entries around it is re-hashed from the trusted digest
+// before it to the next trusted digest after it (a checkpoint, a sealed
+// segment's chain tail or the log tail), at most 64 hashes, and every
+// stored chain value on the way must match. The trusted digests were
+// computed by the writer or verified at mount, so a tampered entry fails
+// the call with kCorruption instead of being served.
 //
 // Thread-safety: the entry window, hash chain and durable append
 // serialise on one lock at rank kCoreLog (just below the
@@ -36,7 +51,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "auditlog/segmented_log.hpp"
@@ -157,8 +174,11 @@ class ProcessingLog {
   /// Every processing that touched one PD record. Scans the durable
   /// history when the window has trimmed; copied under the lock.
   [[nodiscard]] std::vector<LogEntry> ForRecord(dbfs::RecordId record) const;
-  /// Every processing that touched one subject's PD.
-  [[nodiscard]] std::vector<LogEntry> ForSubject(
+  /// Every processing that touched one subject's PD, oldest first, read
+  /// through the per-subject index. kCorruption when a durable entry
+  /// fails authentication (core.processing_log.verify_failures counts
+  /// it): an incomplete history is never returned as a complete one.
+  [[nodiscard]] Result<std::vector<LogEntry>> ForSubject(
       dbfs::SubjectId subject) const;
   /// Visit every entry in sequence order — durable history first when a
   /// segmented store is attached (regulator export path). The visitor
@@ -180,7 +200,32 @@ class ProcessingLog {
   static Bytes EncodeEntry(const LogEntry& entry);
   static Result<LogEntry> DecodeEntry(ByteReader& reader);
 
+  /// Entries between two in-memory chain checkpoints.
+  static constexpr std::uint64_t kCheckpointInterval = 64;
+
  private:
+  /// One subject's sequence numbers, ascending, as varint deltas.
+  struct SubjectSeqs {
+    std::uint64_t last = 0;
+    ByteWriter deltas;
+  };
+
+  /// Add one committed entry to the subject index and checkpoints.
+  /// Caller holds mu_.
+  void IndexEntryLocked(const LogEntry& entry);
+  /// Serve `seqs` (ascending, all older than the hot window) from the
+  /// durable chunks holding them, authenticated. Caller holds mu_.
+  Status ReadDurableLocked(std::span<const std::uint64_t> seqs,
+                           std::vector<LogEntry>& out) const;
+  /// Serve `seqs` (ascending, all in chunk `raw` = entries
+  /// [first, end)) from one chunk. `before` / `last` are the trusted
+  /// chain digests of entries first-1 and end-1. Caller holds mu_.
+  Status ServeFromChunkLocked(ByteSpan raw, std::uint64_t first,
+                              std::uint64_t end,
+                              const crypto::Sha256Digest& before,
+                              const crypto::Sha256Digest& last,
+                              std::span<const std::uint64_t> seqs,
+                              std::vector<LogEntry>& out) const;
   /// Finalise one entry (seq + chain continuation), append its encoding
   /// to `encoded` and move it into entries_. Caller holds mu_.
   void CommitEntryLocked(LogEntry entry, Bytes& encoded);
@@ -206,6 +251,10 @@ class ProcessingLog {
   crypto::Sha256Digest window_prev_{};
   /// Chain digest of the newest committed entry.
   crypto::Sha256Digest tail_{};
+  /// Subject -> its entries' sequence numbers (whole history).
+  std::unordered_map<dbfs::SubjectId, SubjectSeqs> by_subject_;
+  /// checkpoints_[i] = chain digest of entry (i + 1) * K - 1.
+  std::vector<crypto::Sha256Digest> checkpoints_;
 
   inodefs::InodeStore* store_ = nullptr;  // borrowed; null = memory-only
   inodefs::InodeId inode_ = inodefs::kInvalidInode;

@@ -104,7 +104,8 @@ Result<std::string> Rights::Access(dbfs::SubjectId subject) const {
     AppendRecordJson(out, data.records[i], *type);
   }
   out += "],\"processings\":[";
-  const std::vector<LogEntry> history = log_->ForSubject(subject);
+  RGPD_ASSIGN_OR_RETURN(const std::vector<LogEntry> history,
+                        log_->ForSubject(subject));
   for (std::size_t i = 0; i < history.size(); ++i) {
     if (i > 0) out += ',';
     const LogEntry& e = history[i];

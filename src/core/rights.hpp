@@ -27,6 +27,8 @@ class Rights {
   /// Right of access: a structured, machine-readable JSON document with
   /// every record of the subject (field names included, membranes
   /// summarised) and the full processing history of their PD.
+  /// kCorruption when that history fails verification: the answer is
+  /// complete or absent, never silently truncated.
   Result<std::string> Access(dbfs::SubjectId subject) const;
 
   /// Right to data portability: the records alone, machine-readable,

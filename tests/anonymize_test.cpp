@@ -90,7 +90,9 @@ TEST_F(AnonymizeTest, ReleaseIsLoggedPerContributingRecord) {
   // Both subjects see the release in their processing history.
   for (std::uint64_t subject : {1u, 2u}) {
     bool found = false;
-    for (const LogEntry& e : os_->processing_log().ForSubject(subject)) {
+    const auto history = os_->processing_log().ForSubject(subject);
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    for (const LogEntry& e : *history) {
       found |= e.purpose == "anonymized_release";
     }
     EXPECT_TRUE(found) << subject;

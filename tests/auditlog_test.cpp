@@ -6,6 +6,7 @@
 // regulator-export byte-stability across a remount.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -24,6 +25,7 @@
 #include "inodefs/inode_store.hpp"
 #include "sentinel/audit.hpp"
 #include "sentinel/audit_pipeline.hpp"
+#include "tests/processing_log_testing.hpp"
 
 namespace rgpdos {
 namespace {
@@ -521,7 +523,8 @@ TEST(ProcessingLogSegmentedTest, HotWindowTrimsButQueriesSeeFullHistory) {
 
   // Queries reach past the trimmed window into the sealed history.
   const auto subject1 = log.ForSubject(1);
-  EXPECT_EQ(subject1.size(), 10u);
+  ASSERT_TRUE(subject1.ok()) << subject1.status().ToString();
+  EXPECT_EQ(subject1->size(), 10u);
   const auto rec = log.ForRecord(100);
   ASSERT_EQ(rec.size(), 1u);
   EXPECT_EQ(rec.front().seq, 0u);
@@ -641,6 +644,195 @@ TEST_F(ProcessingLogCorruptionTest, SingleBitFlipInActiveTail) {
                   ->WriteAll(active, ByteSpan(tampered.data(), tampered.size()))
                   .ok());
   EXPECT_EQ(Reload().code(), StatusCode::kCorruption);
+}
+
+// ---- per-subject index ----------------------------------------------------
+
+using log_testing::ExpectIndexMatchesScan;
+
+/// Appends `count` entries over seven subjects, alternating single
+/// appends with BatchScope batches of up to nine entries, with strings of
+/// varying length so entry images differ in size.
+void AppendMixed(core::ProcessingLog& log, int first, int count) {
+  int i = first;
+  while (i < first + count) {
+    const int batch = 1 + (i % 9);
+    core::ProcessingLog::BatchScope scope(log);
+    for (int k = 0; k < batch && i < first + count; ++k, ++i) {
+      log.Append("proc-" + std::to_string(i % 5),
+                 std::string(1 + i % 13, 'p'),
+                 /*subject=*/1 + (i * 5 + i / 3) % 7,
+                 /*record=*/1000 + i, core::LogOutcome::kProcessed,
+                 "detail-" + std::to_string(i * 31));
+    }
+  }
+}
+
+auditlog::SegmentedLogOptions SegmentsOf(std::uint64_t bytes) {
+  auditlog::SegmentedLogOptions options;
+  options.segment_bytes = bytes;
+  return options;
+}
+
+TEST(ProcessingLogIndexTest, MatchesScanAcrossTrimSealsAndRemount) {
+  // Tiny segments seal every few entries; 2 KiB ones hold a few dozen,
+  // so checkpoint runs both cross and stay inside segment boundaries.
+  for (const auto& [options, rounds] :
+       {std::pair{TinySegments(), 15}, std::pair{SegmentsOf(2048), 100}}) {
+    StoreFixture fx;
+    {
+      core::ProcessingLog log(&fx.clock);
+      ASSERT_TRUE(
+          log.AttachSegmentedStore(fx.store.get(), fx.manifest, options).ok());
+      log.SetHotWindow(16);
+      AppendMixed(log, 0, 10);
+      ExpectIndexMatchesScan(log, {99});  // window not trimmed yet
+      AppendMixed(log, 10, rounds);
+      ASSERT_LT(log.entry_count(), log.total_entries());
+      ExpectIndexMatchesScan(log, {99});
+      AppendMixed(log, 10 + rounds, 2 * rounds);
+      ExpectIndexMatchesScan(log);
+      ASSERT_TRUE(log.SealSegments().ok());
+      ExpectIndexMatchesScan(log);
+    }
+    fx.Remount();
+    core::ProcessingLog log(&fx.clock);
+    ASSERT_TRUE(log.LoadFromStore(fx.store.get(), fx.manifest, options).ok());
+    log.SetHotWindow(16);
+    ExpectIndexMatchesScan(log);
+    AppendMixed(log, 10 + 3 * rounds, rounds);
+    ExpectIndexMatchesScan(log, {99});
+  }
+}
+
+TEST(ProcessingLogIndexTest, MatchesScanOnLegacyFlatLog) {
+  StoreFixture fx;
+  {
+    core::ProcessingLog log(&fx.clock);
+    log.AttachStore(fx.store.get(), fx.manifest);
+    AppendMixed(log, 0, 150);
+    ExpectIndexMatchesScan(log, {99});
+  }
+  fx.Remount();
+  core::ProcessingLog log(&fx.clock);
+  ASSERT_TRUE(log.LoadFromStore(fx.store.get(), fx.manifest).ok());
+  ASSERT_FALSE(log.segmented_durability());
+  ExpectIndexMatchesScan(log);
+  AppendMixed(log, 150, 20);
+  ExpectIndexMatchesScan(log);
+}
+
+TEST(ProcessingLogIndexTest, MatchesScanUnderConcurrentBatches) {
+  StoreFixture fx;
+  core::ProcessingLog log(&fx.clock);
+  ASSERT_TRUE(log.AttachSegmentedStore(fx.store.get(), fx.manifest,
+                                       SegmentsOf(2048))
+                  .ok());
+  log.SetHotWindow(32);
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 25;
+  constexpr int kPerBatch = 8;
+  std::atomic<int> writers_done{0};
+  std::atomic<int> reader_failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&log, &writers_done, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        core::ProcessingLog::BatchScope scope(log);
+        for (int k = 0; k < kPerBatch; ++k) {
+          log.Append("writer-" + std::to_string(t), "purpose",
+                     /*subject=*/1 + (b * kPerBatch + k) % 6, /*record=*/t,
+                     core::LogOutcome::kProcessed, std::to_string(b));
+        }
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  // A reader racing the writers must always get a verified answer.
+  threads.emplace_back([&] {
+    for (dbfs::SubjectId s = 1; writers_done.load() < kWriters; s = s % 6 + 1) {
+      if (!log.ForSubject(s).ok()) reader_failures.fetch_add(1);
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(reader_failures.load(), 0);
+  EXPECT_EQ(log.total_entries(),
+            std::uint64_t{kWriters * kBatches * kPerBatch});
+  ExpectIndexMatchesScan(log);
+}
+
+TEST(ProcessingLogIndexTest, ForgeryClosingACheckpointRunIsCaught) {
+  // Subject 1's only entry is seq 63, the last of its checkpoint run: no
+  // later stored chain is re-hashed, so only the in-memory checkpoint can
+  // expose a forgery with a recomputed chain.
+  StoreFixture fx;
+  core::ProcessingLog log(&fx.clock);
+  ASSERT_TRUE(log.AttachSegmentedStore(fx.store.get(), fx.manifest).ok());
+  log.SetHotWindow(4);
+  for (int i = 0; i < 63; ++i) {
+    log.Append("other", "purpose", 2, 0, core::LogOutcome::kProcessed);
+  }
+  log.Append("target", "purpose", 1, 0, core::LogOutcome::kProcessed);
+  for (int i = 0; i < 10; ++i) {
+    log.Append("other", "purpose", 2, 0, core::LogOutcome::kProcessed);
+  }
+  const auto served = log.ForSubject(1);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->size(), 1u);
+  ASSERT_EQ(served->front().seq, core::ProcessingLog::kCheckpointInterval - 1);
+
+  auto mounted = auditlog::SegmentedLog::Mount(fx.store.get(), fx.manifest, {});
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  const inodefs::InodeId active = (*mounted)->active_inode();
+  auto tail = fx.store->ReadAll(active);
+  ASSERT_TRUE(tail.ok());
+  const Bytes forged = log_testing::ForgeEntry(
+      *tail, [](const core::LogEntry& e) { return e.subject_id == 1; },
+      [](core::LogEntry& e) { e.processing = "forged"; });
+  ASSERT_FALSE(forged.empty());
+  ASSERT_TRUE(
+      fx.store->WriteAll(active, ByteSpan(forged.data(), forged.size())).ok());
+  EXPECT_EQ(log.ForSubject(1).status().code(), StatusCode::kCorruption);
+}
+
+TEST(ProcessingLogIndexTest, TamperWithAnotherSubjectStillFailsWholeLogChecks) {
+  StoreFixture fx;
+  core::ProcessingLog log(&fx.clock);
+  ASSERT_TRUE(
+      log.AttachSegmentedStore(fx.store.get(), fx.manifest, SegmentsOf(2048))
+          .ok());
+  log.SetHotWindow(4);
+  AppendLogEntries(log, 0, 40);  // subjects 1 and 2, "detail-<i>"
+  ASSERT_TRUE(log.SealSegments().ok());
+  AppendLogEntries(log, 40, 10);
+
+  // Forge subject 2's entry 5 inside the sealed segment, with valid CRCs
+  // and the same length: only the hash chain can tell.
+  auto mounted =
+      auditlog::SegmentedLog::Mount(fx.store.get(), fx.manifest, SegmentsOf(2048));
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  const auditlog::SealedSegment seg = (*mounted)->sealed().front();
+  auto stored = fx.store->ReadAll(seg.inode);
+  ASSERT_TRUE(stored.ok());
+  auditlog::SegmentInfo info;
+  Bytes payload;
+  ASSERT_TRUE(auditlog::DecodeSealedSegment(*stored, &info, &payload).ok());
+  const Bytes needle = ToBytes("detail-5");
+  const auto at = std::search(payload.begin(), payload.end(), needle.begin(),
+                              needle.end());
+  ASSERT_NE(at, payload.end());
+  *(at + 6) = 'X';
+  const Bytes forged = auditlog::EncodeSealedSegment(info, payload, true);
+  ASSERT_TRUE(
+      fx.store->WriteAll(seg.inode, ByteSpan(forged.data(), forged.size()))
+          .ok());
+
+  EXPECT_EQ(log.VerifyDurableChain().code(), StatusCode::kCorruption);
+  core::ProcessingLog remounted(&fx.clock);
+  EXPECT_EQ(remounted
+                .LoadFromStore(fx.store.get(), fx.manifest, SegmentsOf(2048))
+                .code(),
+            StatusCode::kCorruption);
 }
 
 // ---- crash-at-every-write sweep over seal/rotation -------------------------

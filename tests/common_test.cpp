@@ -161,6 +161,46 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(acc.value(), Crc32(data));
 }
 
+/// Bitwise CRC-32 straight from the polynomial: the reference the
+/// table-driven implementation must match byte for byte.
+std::uint32_t ReferenceCrc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, EveryLengthAndAlignmentMatchesReference) {
+  Bytes data(64 + 8);
+  Rng rng(11);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.NextU64());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = data.data() + align;
+      EXPECT_EQ(Crc32(ByteSpan(p, len)), ReferenceCrc32(p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SplitUpdatesMatchOneShotAtEverySplit) {
+  Bytes data(150);
+  Rng rng(12);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.NextU64());
+  const std::uint32_t whole = Crc32(data);
+  for (std::size_t a = 0; a <= data.size(); ++a) {
+    for (std::size_t b = a; b <= data.size(); b += 7) {
+      Crc32Accumulator acc;
+      acc.Update(ByteSpan(data.data(), a));
+      acc.Update(ByteSpan(data.data() + a, b - a));
+      acc.Update(ByteSpan(data.data() + b, data.size() - b));
+      ASSERT_EQ(acc.value(), whole) << "splits at " << a << ", " << b;
+    }
+  }
+}
+
 // ---- Hex --------------------------------------------------------------------------
 
 TEST(HexTest, RoundTrip) {

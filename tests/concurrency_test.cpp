@@ -468,8 +468,9 @@ TEST_F(ConcurrencyStressTest, MixedInvokeErasureConsentWithdrawal) {
       EXPECT_TRUE(os->dbfs().GetEnvelope(kDed, id).ok()) << id;
     }
     std::size_t erased_entries = 0;
-    for (const core::LogEntry& entry :
-         os->processing_log().ForSubject(subject)) {
+    const auto history = os->processing_log().ForSubject(subject);
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    for (const core::LogEntry& entry : *history) {
       if (entry.outcome == core::LogOutcome::kErased) ++erased_entries;
     }
     EXPECT_EQ(erased_entries, forgotten[subject - 3]) << subject;
@@ -478,8 +479,9 @@ TEST_F(ConcurrencyStressTest, MixedInvokeErasureConsentWithdrawal) {
   // No membrane bypass: subjects 5,6 withdrew purpose3 consent before
   // the first invoke, so no parallel lane may ever have processed them.
   for (std::uint64_t subject : {5u, 6u}) {
-    for (const core::LogEntry& entry :
-         os->processing_log().ForSubject(subject)) {
+    const auto history = os->processing_log().ForSubject(subject);
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    for (const core::LogEntry& entry : *history) {
       EXPECT_NE(entry.outcome, core::LogOutcome::kProcessed)
           << "membrane bypass on subject " << subject;
     }

@@ -434,7 +434,7 @@ TEST_F(CoreTest, PortabilityTransfersToAnotherOperator) {
   EXPECT_EQ(record->membrane.ttl, kMicrosPerYear);
   EXPECT_EQ(record->membrane.consents.at("purpose3").view, "v_ano");
   // The import shows in the receiving operator's processing log.
-  EXPECT_FALSE((*other)->processing_log().ForSubject(9).empty());
+  EXPECT_FALSE((*other)->processing_log().ForSubject(9).value().empty());
 }
 
 TEST_F(CoreTest, ImportSkipsErasedAndUnknownTypes) {
@@ -486,7 +486,9 @@ TEST_F(CoreTest, PredicatesFilterInsideTheDed) {
   EXPECT_EQ(result->records_filtered_out, 1u);  // 2005
   // The predicate-filtered subject sees it in their history.
   bool logged = false;
-  for (const LogEntry& e : os_->processing_log().ForSubject(1)) {
+  const auto history = os_->processing_log().ForSubject(1);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  for (const LogEntry& e : *history) {
     logged |= e.outcome == LogOutcome::kFiltered &&
               e.detail == "row predicate";
   }
@@ -570,7 +572,9 @@ TEST_F(CoreTest, RestrictionPropagatesAcrossCopies) {
   EXPECT_TRUE(os_->dbfs().GetMembrane(kDed, copy->record_id)->restricted);
   // The restriction appears in the subject's processing history.
   bool logged = false;
-  for (const LogEntry& e : os_->processing_log().ForSubject(1)) {
+  const auto history = os_->processing_log().ForSubject(1);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  for (const LogEntry& e : *history) {
     logged |= e.outcome == LogOutcome::kRestricted;
   }
   EXPECT_TRUE(logged);
@@ -654,8 +658,8 @@ TEST_F(CoreTest, LogQueriesBySubjectAndRecord) {
   const dbfs::RecordId a = PutUser(1, "a", 1990);
   PutUser(2, "b", 1991);
   ASSERT_TRUE(os_->RightToBeForgotten(1).ok());
-  EXPECT_FALSE(os_->processing_log().ForSubject(1).empty());
-  EXPECT_TRUE(os_->processing_log().ForSubject(99).empty());
+  EXPECT_FALSE(os_->processing_log().ForSubject(1).value().empty());
+  EXPECT_TRUE(os_->processing_log().ForSubject(99).value().empty());
   EXPECT_FALSE(os_->processing_log().ForRecord(a).empty());
 }
 

@@ -17,9 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "auditlog/segmented_log.hpp"
 #include "common/json.hpp"
 #include "core/breach_drill.hpp"
 #include "core/rgpdos.hpp"
+#include "metrics/metrics.hpp"
+#include "tests/processing_log_testing.hpp"
 
 namespace rgpdos {
 namespace {
@@ -56,6 +59,23 @@ class RightsMatrixTest : public ::testing::Test {
     config.seed = 7;
     config.shards = shards;
     config.worker_threads = workers;
+    auto os = core::RgpdOs::Boot(config);
+    EXPECT_TRUE(os.ok()) << os.status().ToString();
+    std::unique_ptr<core::RgpdOs> world = std::move(os).value();
+    EXPECT_TRUE(world->DeclareTypes(kTypes).ok());
+    return world;
+  }
+
+  /// A world whose processing log keeps only 16 entries in memory, so a
+  /// right of access reads durable history after a few dozen entries.
+  static std::unique_ptr<core::RgpdOs> BootTrimmingLog(
+      std::size_t shards, std::uint64_t segment_bytes) {
+    core::BootConfig config;
+    config.seed = 7;
+    config.shards = shards;
+    config.worker_threads = 1;
+    config.audit_hot_window = 16;
+    config.audit_segment_bytes = segment_bytes;
     auto os = core::RgpdOs::Boot(config);
     EXPECT_TRUE(os.ok()) << os.status().ToString();
     std::unique_ptr<core::RgpdOs> world = std::move(os).value();
@@ -149,7 +169,9 @@ TEST_F(RightsMatrixTest, ObjectionFiltersDespiteStandingConsent) {
 
   // The whole exchange is in the Art. 30 record of processing.
   bool logged_objection = false;
-  for (const auto& entry : os->processing_log().ForSubject(1)) {
+  const auto history = os->processing_log().ForSubject(1);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  for (const auto& entry : *history) {
     if (entry.outcome == core::LogOutcome::kObjected) {
       logged_objection = true;
     }
@@ -288,6 +310,119 @@ TEST_F(RightsMatrixTest, RightsMatrixIsShardCountInvariant) {
   EXPECT_EQ(processed_by_shards[0], 6u);  // 8 - objected(2) - erased(3)
   EXPECT_EQ(processed_by_shards[0], processed_by_shards[1]);
   EXPECT_EQ(drilled_by_shards[0], drilled_by_shards[1]);
+}
+
+// ---- Art. 15 history through the per-subject index ------------------------
+
+TEST_F(RightsMatrixTest, AccessHistoryMatchesFullScanAtOneAndFourShards) {
+  std::vector<std::string> histories_by_shards;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    auto os = BootTrimmingLog(shards, /*segment_bytes=*/2048);
+    for (std::uint64_t s = 1; s <= 12; ++s) {
+      PutUser(*os, s, "subject" + std::to_string(s));
+    }
+    const auto processing = RegisterPurpose3(*os);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(Processed(*os, processing), 12u);
+    }
+    for (std::uint64_t s = 1; s <= 4; ++s) {
+      ASSERT_TRUE(os->RightOfAccess(s).ok());
+    }
+    ASSERT_TRUE(os->RightToObject(2, "purpose3").ok());
+    ASSERT_TRUE(os->RightToBeForgotten(3).ok());
+    EXPECT_EQ(Processed(*os, processing), 10u);
+
+    core::ProcessingLog& log = os->processing_log();
+    if (log.segmented_durability()) {
+      ASSERT_LT(log.entry_count(), log.total_entries())
+          << "the window must have trimmed for this test to read durably";
+    }
+    log_testing::ExpectIndexMatchesScan(log, {99});
+    // Record ids and timestamps depend on the shard count; what each
+    // subject's history says does not.
+    std::string histories;
+    for (std::uint64_t s = 1; s <= 12; ++s) {
+      auto history = log.ForSubject(s);
+      ASSERT_TRUE(history.ok()) << history.status().ToString();
+      for (const core::LogEntry& e : *history) {
+        histories += std::to_string(s) + ":" + e.processing + "/" + e.purpose +
+                     "/" + std::string(core::LogOutcomeName(e.outcome)) + ";";
+      }
+    }
+    histories_by_shards.push_back(histories);
+  }
+  EXPECT_EQ(histories_by_shards[0], histories_by_shards[1]);
+}
+
+class AccessTamperTest : public RightsMatrixTest {
+ protected:
+  /// Subject 1's one "proc-target" entry, pushed out of the hot window
+  /// by subject 2's entries but still in the (unsealed) active tail.
+  void SetUp() override {
+    os_ = BootTrimmingLog(1, /*segment_bytes=*/256 * 1024);
+    if (!os_->processing_log().segmented_durability()) {
+      GTEST_SKIP() << "a legacy flat log serves its history from memory";
+    }
+    PutUser(*os_, 1, "alice");
+    log().Append("proc-target", "purpose3", 1, 0, core::LogOutcome::kProcessed);
+    for (int i = 0; i < 20; ++i) {
+      log().Append("filler", "purpose3", 2, 0, core::LogOutcome::kProcessed);
+    }
+    auto access = os_->RightOfAccess(1);
+    ASSERT_TRUE(access.ok()) << access.status().ToString();
+    ASSERT_NE(access->find("proc-target"), std::string::npos);
+
+    auto view = auditlog::SegmentedLog::Mount(
+        &os_->dbfs_store(), os_->dbfs().processing_log_inode(), {});
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    active_ = (*view)->active_inode();
+    auto tail = os_->dbfs_store().ReadAll(active_);
+    ASSERT_TRUE(tail.ok());
+    tail_ = *tail;
+  }
+
+  core::ProcessingLog& log() { return os_->processing_log(); }
+
+  void WriteTail(const Bytes& tail) {
+    ASSERT_TRUE(os_->dbfs_store()
+                    .WriteAll(active_, ByteSpan(tail.data(), tail.size()))
+                    .ok());
+  }
+
+  /// Access must fail loudly and count the failure.
+  void ExpectAccessCorrupt() {
+    metrics::Counter& failures = metrics::MetricsRegistry::Instance().GetCounter(
+        "core.processing_log.verify_failures");
+    const std::uint64_t before = failures.Value();
+    auto access = os_->RightOfAccess(1);
+    ASSERT_FALSE(access.ok()) << "served: " << *access;
+    EXPECT_EQ(access.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(failures.Value(), before + 1);
+  }
+
+  std::unique_ptr<core::RgpdOs> os_;
+  inodefs::InodeId active_ = inodefs::kInvalidInode;
+  Bytes tail_;
+};
+
+TEST_F(AccessTamperTest, FlippedByteInServedEntryIsCorruption) {
+  const Bytes needle = ToBytes("proc-target");
+  const auto at =
+      std::search(tail_.begin(), tail_.end(), needle.begin(), needle.end());
+  ASSERT_NE(at, tail_.end());
+  *(at + 8) ^= 0x20;  // "proc-tarGet"
+  WriteTail(tail_);
+  ExpectAccessCorrupt();
+}
+
+TEST_F(AccessTamperTest, RewrittenEntryWithRecomputedChainIsCorruption) {
+  const Bytes forged = log_testing::ForgeEntry(
+      tail_,
+      [](const core::LogEntry& e) { return e.processing == "proc-target"; },
+      [](core::LogEntry& e) { e.processing = "proc-forged"; });
+  ASSERT_FALSE(forged.empty());
+  WriteTail(forged);
+  ExpectAccessCorrupt();
 }
 
 // ---- Art. 33 drill over the processing log --------------------------------
